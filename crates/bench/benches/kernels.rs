@@ -63,10 +63,6 @@ fn queries(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("gpa", |b| b.iter(|| black_box(gpa.query(17))));
     group.bench_function("hgpa", |b| b.iter(|| black_box(hgpa.query(17))));
-    group.bench_function("hgpa_session_reuse", |b| {
-        let mut session = hgpa.session();
-        b.iter(|| black_box(session.query(17)))
-    });
     group.bench_function("hgpa_point_query", |b| {
         b.iter(|| black_box(hgpa.query_value(17, 42)))
     });

@@ -18,7 +18,9 @@
 //!   promotion recomputes root-level skeleton state.
 //!
 //! Each position reports wall seconds (min-of-N over a pristine cloned
-//! index per repetition), the speedup over the initial build, and the
+//! index per repetition), the speedup over the initial build (the update
+//! runs under the build's own parallelism mode, so both sides of the
+//! ratio use the same worker count), and the
 //! exact number of vectors the affected-region sweep recomputed. The
 //! speedups for **leaf and mid are floor-gated**: `repro bench-compare`
 //! fails if either ever drops to 1x or below, i.e. if incremental
@@ -187,7 +189,7 @@ fn run_dataset(ds: Dataset, profile: &Profile, report: &mut BaselineReport, tabl
             // engine, so no repetition inherits the previous one's
             // condensation cache or arenas.
             let mut fresh = idx.clone();
-            let mut engine = MaintenanceEngine::new();
+            let mut engine = MaintenanceEngine::with_parallelism(opts.parallelism);
             let sw = ppr_core::parallel::Stopwatch::start();
             let stats = engine
                 .apply_edges(&mut fresh, &g2, &[(u, v)])

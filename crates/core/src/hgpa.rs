@@ -450,17 +450,6 @@ impl HgpaIndex {
         }
     }
 
-    /// Start a reusable query session: repeated queries share one dense
-    /// accumulator instead of allocating per call. This is how the
-    /// experiment harness executes the paper's 1000-query workloads.
-    pub fn session(&self) -> QuerySession<'_> {
-        QuerySession {
-            index: self,
-            dense: vec![0.0; self.n],
-            touched: Vec::new(),
-        }
-    }
-
     /// Exact single-value query `r_u(v)` — the node-to-node PPR problem
     /// (§7, Lofgren et al.) answered from the index without materialising
     /// the full vector: only the hub terms along `u`'s path are probed at
@@ -720,47 +709,8 @@ impl HgpaIndex {
     }
 }
 
-/// Amortised query executor over one [`HgpaIndex`]: reuses a dense
-/// accumulator across calls (see [`HgpaIndex::session`]).
-pub struct QuerySession<'i> {
-    index: &'i HgpaIndex,
-    dense: Vec<f64>,
-    touched: Vec<NodeId>,
-}
-
-impl QuerySession<'_> {
-    /// Exact PPV of `u`; identical to [`HgpaIndex::query`].
-    pub fn query(&mut self, u: NodeId) -> SparseVector {
-        self.query_preference(&[(u, 1.0)])
-    }
-
-    /// Exact PPV of a weighted preference set.
-    pub fn query_preference(&mut self, preference: &[(NodeId, f64)]) -> SparseVector {
-        for &(u, w) in preference {
-            self.index
-                .accumulate_query(u, w, None, &mut self.dense, &mut self.touched);
-        }
-        self.harvest_reset()
-    }
-
-    /// The reply vector machine `machine` computes for query `u` —
-    /// identical to [`HgpaIndex::machine_vector`] but reusing this
-    /// session's dense scratch, so a batch fan-out pays the O(n)
-    /// allocation once per machine instead of once per source.
-    pub fn machine_vector(&mut self, u: NodeId, machine: u32) -> SparseVector {
-        self.index
-            .accumulate_query(u, 1.0, Some(machine), &mut self.dense, &mut self.touched);
-        self.harvest_reset()
-    }
-
-    /// Sparsify the accumulator and zero the scratch for the next call.
-    fn harvest_reset(&mut self) -> SparseVector {
-        SparseVector::harvest_scratch(&mut self.dense, &mut self.touched)
-    }
-}
-
 /// Map a view-local sparse vector to global ids.
-fn map_to_global(v: &SparseVector, view: &ppr_graph::SubView) -> SparseVector {
+pub(crate) fn map_to_global(v: &SparseVector, view: &ppr_graph::SubView) -> SparseVector {
     SparseVector::from_entries(v.iter().map(|(l, x)| (view.global_of(l), x)).collect())
 }
 
@@ -1081,22 +1031,6 @@ mod tests {
                 assert!((idx.query_value(h, v) - full.get(v)).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn session_queries_match_one_shot() {
-        let g = sample(180, 23);
-        let idx = HgpaIndex::build(&g, &tight(), &small_leaves());
-        let mut session = idx.session();
-        for u in [0u32, 45, 90, 45, 179] {
-            // repeats included: scratch must reset cleanly
-            assert_eq!(session.query(u), idx.query(u), "u {u}");
-        }
-        let pref = [(3u32, 0.5), (99u32, 0.5)];
-        assert_eq!(
-            session.query_preference(&pref),
-            idx.query_preference(&pref)
-        );
     }
 
     #[test]

@@ -48,16 +48,28 @@
 //! inserted since the snapshot (deletions only shrink reachability, so
 //! the snapshot already over-approximates them).
 //!
+//! Validation, churn, dirtiness, hub promotion and the predicates run
+//! serially; the recomputation then fans out like §5's offline build.
+//! Each dirty subgraph's view is built once, in ascending order, every
+//! stale vector becomes one work item, and a batch's items are dealt to
+//! one [`run_timed`] pool whose workers own a
+//! [`PushEngine`]/[`SkeletonEngine`] pair each. Results are written back
+//! in item order, so the maintained index is bit-identical under every
+//! [`ParallelismMode`] (pinned in `tests/parallel_build.rs`).
+//!
 //! Cost is O(affected region) vector recomputations instead of a full
 //! rebuild; exactness is preserved (validated against the dense oracle
 //! and against fresh rebuilds in the tests, and fuzzed under mixed
 //! node+edge churn in `tests/node_churn.rs`).
 
-use crate::hgpa::HgpaIndex;
+use crate::hgpa::{map_to_global, HgpaIndex};
+use crate::parallel::{run_timed, ParallelismMode};
 use crate::push::PushEngine;
 use crate::skeleton::SkeletonEngine;
-use crate::{PprConfig, SparseVector};
-use ppr_graph::{AppliedGraphDelta, CsrGraph, DeltaError, NodeId, SccCondensation, ViewBuilder};
+use ppr_graph::{
+    AppliedGraphDelta, CsrGraph, DeltaError, NodeId, SccCondensation, SubView, ViewBuilder,
+};
+use ppr_partition::SubgraphNode;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
@@ -192,19 +204,23 @@ struct CondCache {
 /// loosens) and the engine rebuilds it.
 const COND_REBUILD_THRESHOLD: usize = 32;
 
-/// Reusable state for applying update batches to an [`HgpaIndex`]:
-/// one [`PushEngine`]/[`SkeletonEngine`] pair that grows to the largest
-/// subgraph it meets and is reused across every dirty subgraph of every
-/// batch (the same amortization the parallel builder uses per worker),
-/// plus an SCC condensation cached across low-churn batches for the
-/// staleness predicates.
+/// Reusable state for applying update batches to an [`HgpaIndex`]: the
+/// [`ParallelismMode`] its recomputation fans out under, plus an SCC
+/// condensation cached across low-churn batches for the staleness
+/// predicates.
+///
+/// Each batch deals its stale vectors to a pool of workers that own one
+/// [`PushEngine`]/[`SkeletonEngine`] pair each (the same per-worker
+/// amortization the parallel builder uses). Every vector is a pure
+/// function of its view, owner, blocked set and config, and results are
+/// written back in a fixed order, so the index and the [`UpdateStats`]
+/// are bit-identical for any worker count.
 ///
 /// The engine holds no reference to a particular index or graph; one
 /// engine may serve many indexes, though the condensation cache is only
 /// reused while consecutive batches target graphs with one node set.
 pub struct MaintenanceEngine {
-    push: PushEngine,
-    skel: SkeletonEngine,
+    parallelism: ParallelismMode,
     cond: Option<CondCache>,
 }
 
@@ -215,11 +231,16 @@ impl Default for MaintenanceEngine {
 }
 
 impl MaintenanceEngine {
-    /// A fresh engine with empty arenas (they grow on first use).
+    /// A fresh engine that recomputes under [`ParallelismMode::from_env`],
+    /// the serving layers' default.
     pub fn new() -> Self {
+        Self::with_parallelism(ParallelismMode::from_env())
+    }
+
+    /// A fresh engine that recomputes under `parallelism`.
+    pub fn with_parallelism(parallelism: ParallelismMode) -> Self {
         Self {
-            push: PushEngine::new(0),
-            skel: SkeletonEngine::new(0),
+            parallelism,
             cond: None,
         }
     }
@@ -379,26 +400,51 @@ impl MaintenanceEngine {
         let batch_size = changed.len() + dropped.len() + added.len() + removed.len();
         let (stale_base, stale_col) = self.staleness(g_new, &touched_vec, &inserted, batch_size);
 
-        // ---- recompute what the predicates could not rule out, in
-        // deterministic ascending subgraph order, sharing one engine pair
-        // and one view builder across the whole dirty set.
-        let cfg = *idx.config();
+        // ---- recompute what the predicates could not rule out. The views
+        // are built once, in ascending subgraph order; every stale vector
+        // becomes one work item dealt to a pool of per-worker engines, and
+        // the results are written back in item order.
         let mut vb = ViewBuilder::new(g_new);
+        let mut views: Vec<DirtyView> = Vec::new();
+        let mut items: Vec<WorkItem> = Vec::new();
         for sg in dirty {
             stats.subgraphs_recomputed += 1;
-            let (done, skipped) = recompute_subgraph(
-                idx,
+            stats.vectors_skipped += plan_subgraph(
+                &idx.hierarchy().nodes[sg],
                 &mut vb,
-                &cfg,
-                sg,
                 &stale_base,
                 &stale_col,
-                &mut self.push,
-                &mut self.skel,
+                &mut views,
+                &mut items,
             );
-            stats.vectors_recomputed += done;
-            stats.vectors_skipped += skipped;
             stats.dirty_subgraphs.push(sg);
+        }
+        let cfg = *idx.config();
+        let (fresh, _) = run_timed(
+            items.len(),
+            self.parallelism,
+            || (PushEngine::new(0), SkeletonEngine::new(0)),
+            |_| 0,
+            |i, (push, skel)| {
+                let item = &items[i];
+                let dv = &views[item.view];
+                match item.kind {
+                    VectorKind::Base => map_to_global(
+                        &push.run(&dv.view, item.local, &dv.blocked, &cfg).partial,
+                        &dv.view,
+                    ),
+                    VectorKind::Column => {
+                        map_to_global(&skel.run(&dv.view, item.local, &cfg), &dv.view)
+                    }
+                }
+            },
+        );
+        stats.vectors_recomputed = items.len();
+        for (item, (vector, _)) in items.iter().zip(fresh) {
+            match item.kind {
+                VectorKind::Base => idx.set_base(item.owner, vector),
+                VectorKind::Column => idx.set_skeleton(item.owner, vector),
+            }
         }
         stats.dirty_nodes = touched.into_iter().collect();
         Ok(stats)
@@ -451,8 +497,8 @@ impl HgpaIndex {
     /// that were inserted or removed since the graph the index was built
     /// on. The node set must be unchanged; use
     /// [`MaintenanceEngine::apply`] for batches with node churn (and to
-    /// amortize engine arenas across batches — this convenience method
-    /// spins up a transient engine per call).
+    /// reuse the staleness condensation across batches — this
+    /// convenience method spins up a transient engine per call).
     ///
     /// On `Err` the index is unchanged.
     pub fn apply_edge_updates(
@@ -531,100 +577,81 @@ impl HgpaIndex {
     }
 }
 
-/// Recompute the stored vectors of subgraph `sg` that the staleness
-/// predicates could not prove unchanged. Returns `(recomputed, skipped)`
-/// vector counts. When every vector of the subgraph is provably clean the
-/// view is not even built.
-#[allow(clippy::too_many_arguments)]
-fn recompute_subgraph(
-    idx: &mut HgpaIndex,
+/// A dirty subgraph's view plus the blocked set its partial vectors are
+/// pushed against: the subgraph's hubs, or nothing for a leaf.
+struct DirtyView {
+    view: SubView,
+    blocked: Vec<bool>,
+}
+
+/// Which stored vector of its owner a work item recomputes.
+#[derive(Clone, Copy)]
+enum VectorKind {
+    /// A leaf member's local PPV or a hub's partial vector.
+    Base,
+    /// A hub's skeleton column.
+    Column,
+}
+
+/// One stale vector: a pure function of its view, owner, blocked set and
+/// the index's config, so items can run on any worker in any order.
+struct WorkItem {
+    view: usize,
+    local: NodeId,
+    owner: NodeId,
+    kind: VectorKind,
+}
+
+/// List the work items of one dirty subgraph — one per vector the
+/// staleness predicates could not prove unchanged — and return how many
+/// vectors were skipped. The view is only built (and pushed onto
+/// `views`) when at least one vector is stale.
+fn plan_subgraph(
+    node: &SubgraphNode,
     vb: &mut ViewBuilder<'_>,
-    cfg: &PprConfig,
-    sg: usize,
     stale_base: &[bool],
     stale_col: &[bool],
-    push: &mut PushEngine,
-    skel: &mut SkeletonEngine,
-) -> (usize, usize) {
-    let node = idx.hierarchy().nodes[sg].clone();
-
-    if node.is_leaf() {
-        if node.members.is_empty() {
-            return (0, 0);
-        }
-        if node.members.iter().all(|&m| !stale_base[m as usize]) {
-            return (0, node.members.len());
-        }
-        let view = vb.build(&node.members);
-        let no_block = vec![false; view.len()];
-        let (mut done, mut skipped) = (0usize, 0usize);
-        for (local, &global) in view.globals().iter().enumerate() {
-            if !stale_base[global as usize] {
-                skipped += 1;
-                continue;
-            }
-            let out = push.run(&view, local as NodeId, &no_block, cfg);
-            idx.set_base(
-                global,
-                SparseVector::from_entries(
-                    out.partial
-                        .iter()
-                        .map(|(l, x)| (view.global_of(l), x))
-                        .collect(),
-                ),
-            );
-            done += 1;
-        }
-        return (done, skipped);
-    }
-
-    if node.hubs.is_empty() {
-        return (0, 0);
-    }
-    if node
-        .hubs
-        .iter()
-        .all(|&h| !stale_base[h as usize] && !stale_col[h as usize])
-    {
-        return (0, 2 * node.hubs.len());
+    views: &mut Vec<DirtyView>,
+    items: &mut Vec<WorkItem>,
+) -> usize {
+    // A leaf stores one base vector per member; an internal subgraph a
+    // partial vector and a skeleton column per hub.
+    let leaf = node.is_leaf();
+    let (owners, kinds): (&[NodeId], &[VectorKind]) = if leaf {
+        (&node.members, &[VectorKind::Base])
+    } else {
+        (&node.hubs, &[VectorKind::Base, VectorKind::Column])
+    };
+    let is_stale = |o: NodeId, kind: VectorKind| match kind {
+        VectorKind::Base => stale_base[o as usize],
+        VectorKind::Column => stale_col[o as usize],
+    };
+    if owners.iter().all(|&o| kinds.iter().all(|&k| !is_stale(o, k))) {
+        return kinds.len() * owners.len();
     }
     let view = vb.build(&node.members);
     let mut blocked = vec![false; view.len()];
-    for &h in &node.hubs {
-        blocked[view.local_of(h).expect("hub is a member") as usize] = true;
-    }
-    let (mut done, mut skipped) = (0usize, 0usize);
-    for &h in &node.hubs {
-        let lh = view.local_of(h).expect("hub is a member");
-        if stale_base[h as usize] {
-            let out = push.run(&view, lh, &blocked, cfg);
-            idx.set_base(
-                h,
-                SparseVector::from_entries(
-                    out.partial
-                        .iter()
-                        .map(|(l, x)| (view.global_of(l), x))
-                        .collect(),
-                ),
-            );
-            done += 1;
-        } else {
-            skipped += 1;
+    let mut skipped = 0;
+    for &o in owners {
+        let local = view.local_of(o).expect("owner is a member");
+        if !leaf {
+            blocked[local as usize] = true;
         }
-        if stale_col[h as usize] {
-            let col = skel.run(&view, lh, cfg);
-            idx.set_skeleton(
-                h,
-                SparseVector::from_entries(
-                    col.iter().map(|(l, x)| (view.global_of(l), x)).collect(),
-                ),
-            );
-            done += 1;
-        } else {
-            skipped += 1;
+        for &kind in kinds {
+            if is_stale(o, kind) {
+                items.push(WorkItem {
+                    view: views.len(),
+                    local,
+                    owner: o,
+                    kind,
+                });
+            } else {
+                skipped += 1;
+            }
         }
     }
-    (done, skipped)
+    views.push(DirtyView { view, blocked });
+    skipped
 }
 
 #[cfg(test)]

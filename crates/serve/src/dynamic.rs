@@ -7,8 +7,9 @@
 //! [`GraphDelta`] batches (edge updates plus node churn):
 //!
 //! * updates flow through `ppr-core`'s exact incremental maintenance — a
-//!   persistent [`MaintenanceEngine`] whose push/skeleton buffers and SCC
-//!   condensation survive across batches — with per-vector staleness
+//!   persistent [`MaintenanceEngine`] whose SCC condensation survives
+//!   across batches and whose recomputation fans out under
+//!   [`ServeConfig::parallelism`] — with per-vector staleness
 //!   scoped by reachability, never a rebuild. Batches may churn the node
 //!   set: an added node joins a leaf and serves immediately, a removed
 //!   node is excised (tombstoned) and thereafter answers empty;
@@ -291,7 +292,7 @@ impl DynamicPprServer {
         Self {
             graph,
             index,
-            engine: MaintenanceEngine::new(),
+            engine: MaintenanceEngine::with_parallelism(config.parallelism),
             cluster,
             cache: ShardSet::new(config.shards.max(1), config.cache_capacity_bytes),
             config,

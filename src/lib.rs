@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use ppr_core::{
         gpa::{GpaBuildOptions, GpaIndex},
-        hgpa::{HgpaBuildOptions, HgpaIndex, QuerySession},
+        hgpa::{HgpaBuildOptions, HgpaIndex},
         incremental::{MaintenanceEngine, UpdateError, UpdateStats},
         persist::{
             load_gpa_file, load_hgpa_file, load_index_file, save_gpa_file, save_hgpa_file,
